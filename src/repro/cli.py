@@ -52,10 +52,10 @@ Subcommands:
 Global flags: ``--log-level {debug,info,warning,error}`` and
 ``--log-json`` configure structured logging for every subcommand
 (events go to stderr; stdout stays clean for command output);
-``--workers N`` shards measurement ingest, batch region scoring, and
-campaign simulation across a forked worker pool (``N <= 1`` keeps
-everything in-process; results are identical either way and worker
-telemetry merges back into the run's metrics).
+``--workers N`` shards measurement ingest and campaign simulation
+across a forked worker pool (``N <= 1`` keeps everything in-process;
+results are identical either way and worker telemetry merges back into
+the run's metrics). Scoring always runs in-process.
 Live-operations flags, also global:
 
 * ``--telemetry-port N`` — serve ``/metrics`` (Prometheus),
@@ -70,9 +70,10 @@ Live-operations flags, also global:
 
 Every command is pure stdlib ``argparse`` over the library API, so the
 CLI is also living documentation of the public surface. Operational
-errors — an unreadable input path, a malformed measurement file — are
-caught at the top level and reported as one ``iqb: error: ...`` line
-with exit status 2; a traceback out of the CLI is by definition a bug.
+errors — an unreadable input path, a malformed measurement file, data
+the config cannot score — are caught at the top level and reported as
+one ``iqb: error: ...`` line with exit status 2; a traceback out of
+the CLI is by definition a bug.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ from typing import List, Optional
 from repro.analysis.report import comparison_report, region_report
 from repro.analysis.tables import render_table
 from repro.core.config import IQBConfig, paper_config
-from repro.core.exceptions import SchemaError
+from repro.core.exceptions import DataError, SchemaError
 from repro.core.framework import IQBFramework
 from repro.core.sensitivity import percentile_sweep
 from repro.measurements.io import IngestStats, read_jsonl, write_jsonl
@@ -227,7 +228,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         print(f"iqb: error: {problem}", file=sys.stderr)
         return 2
     if args.from_cache is not None:
-        from repro.core.exceptions import DataError, IntegrityError
+        from repro.core.exceptions import IntegrityError
 
         try:
             records = _warm_from_cache(args)
@@ -257,19 +258,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
         from repro.core.scoring import score_regions
 
         breakdowns = (
-            score_regions(
-                records,
-                config,
-                workers=args.workers,
-                kernel=args.kernel,
-                quantiles=args.quantiles,
-            )
+            score_regions(records, config, quantiles=args.quantiles)
             if len(records)
             else {}
         )
         _record_degraded(breakdowns)
         document = {
-            "kernel": args.kernel,
+            "kernel": "vectorized",
             "regions": {
                 region: breakdown.to_dict()
                 for region, breakdown in breakdowns.items()
@@ -280,13 +275,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         print(json_module.dumps(document, indent=2, sort_keys=True))
     else:
         print(
-            comparison_report(
-                records,
-                config,
-                workers=args.workers,
-                kernel=args.kernel,
-                quantiles=args.quantiles,
-            )
+            comparison_report(records, config, quantiles=args.quantiles)
         )
     return 0
 
@@ -330,7 +319,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_trend(args: argparse.Namespace) -> int:
     from repro.analysis.temporal import score_time_series, trend
-    from repro.core.exceptions import DataError
 
     records = _read_measurements(args)
     config = _load_config(args.config)
@@ -445,20 +433,10 @@ def _cmd_publish(args: argparse.Namespace) -> int:
                 str(region): float(value)
                 for region, value in json_module.load(handle).items()
             }
-    breakdowns = score_regions(
-        records,
-        config,
-        workers=args.workers,
-        kernel=args.kernel,
-        quantiles=args.quantiles,
-    )
+    breakdowns = score_regions(records, config, quantiles=args.quantiles)
     _record_degraded(breakdowns)
     document = build_publication(
-        records,
-        config,
-        populations=populations,
-        workers=args.workers,
-        breakdowns=breakdowns,
+        records, config, populations=populations, breakdowns=breakdowns
     )
     if args.output:
         atomic_write(args.output, document + "\n")
@@ -740,7 +718,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"iqb: error: {problem}", file=sys.stderr)
         return 2
     if args.from_cache is not None:
-        from repro.core.exceptions import DataError, IntegrityError
+        from repro.core.exceptions import IntegrityError
 
         try:
             store = _warm_from_cache(args)
@@ -781,9 +759,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store,
         config,
         populations=populations,
-        kernel=args.kernel,
         quantiles=args.quantiles,
-        workers=args.workers,
         cache_size=args.cache_size,
         batch_window_s=args.batch_window,
     )
@@ -862,9 +838,11 @@ def _cmd_health(args: argparse.Namespace) -> int:
     import json as json_module
     import time as time_module
 
+    from repro.obs import snapshot
     from repro.obs.health import HealthMonitor, install_health_monitor
     from repro.probing.monitor import BarometerMonitor
 
+    counters_at_start = snapshot()["counters"]
     records = _read_measurements(args)
     config = _load_config(args.config)
     if len(records) == 0:
@@ -874,6 +852,9 @@ def _cmd_health(args: argparse.Namespace) -> int:
     health = HealthMonitor(
         rules=_load_slo_rules(args.rules, records, width)
     )
+    # Judge this run's ingest errors only, even when an embedding
+    # process ran other commands first: same file, same report.
+    health.count_errors_from(counters_at_start)
     install_health_monitor(health)
     # Sketch-backed replay: every record folds into the live t-digest
     # plane (notifying health per arrival) and each window close hands
@@ -1047,13 +1028,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 records = sink.as_set()
         with span("score"):
             if len(records):
-                score_regions(
-                    records,
-                    config,
-                    workers=args.workers,
-                    kernel=args.kernel,
-                    quantiles=args.quantiles,
-                )
+                score_regions(records, config, quantiles=args.quantiles)
     chosen = args.format or ("text" if args.text else "json")
     if chosen == "prom":
         print(REGISTRY.render_prometheus(), end="")
@@ -1318,18 +1293,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard ingest, batch scoring, and simulation across N "
+        help="shard measurement ingest and simulation across N "
         "forked worker processes (default 1 = fully in-process; "
-        "results are identical either way)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("vectorized", "exact"),
-        default="vectorized",
-        help="batch-scoring kernel: the batched numpy kernel (default) "
-        "or the scalar reference path; breakdowns are identical "
-        "either way (the choice is recorded in --json output and "
-        "run manifests)",
+        "results are identical either way; scoring always runs "
+        "in-process)",
     )
     parser.add_argument(
         "--quantiles",
@@ -1870,7 +1837,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
     Operational failures (unreadable paths, malformed measurement
-    files) exit 2 with a one-line ``iqb: error: ...`` on stderr;
+    files, data the config cannot score) exit 2 with a one-line
+    ``iqb: error: ...`` on stderr;
     anything else propagating out of a command is a bug and keeps its
     traceback.
 
@@ -1885,7 +1853,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     setup_logging(level=args.log_level, json_mode=args.log_json)
     _RUN = RunContext(argv if argv is not None else sys.argv[1:])
-    _RUN.set_kernel(args.kernel)
     _RUN.set_quantiles(args.quantiles)
     recorder: Optional[TraceRecorder] = None
     if args.trace_out:
@@ -1945,7 +1912,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 pass
         print("iqb: interrupted", file=sys.stderr)
         return 130
-    except (OSError, SchemaError, ShardError) as exc:
+    except (OSError, SchemaError, DataError, ShardError) as exc:
         print(f"iqb: error: {exc}", file=sys.stderr)
         return 2
     finally:

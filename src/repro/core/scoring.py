@@ -50,9 +50,10 @@ from .usecases import UseCase
 _REGION_SCORES = counter("scoring.region_scores")
 _BATCH_REGIONS = counter("scoring.batch.regions")
 
-#: Batch-scoring kernels ``score_regions`` accepts: the batched numpy
-#: kernel (:mod:`repro.core.kernel`) and the scalar oracle in this
-#: module. The two are bit-parity twins (see tests/core/test_kernel_parity).
+#: Batch-scoring kernels ``score_regions`` accepts: the production
+#: batched numpy kernel (:mod:`repro.core.kernel`) and the scalar
+#: reference in this module. The two are bit-parity twins (see
+#: tests/core/test_kernel_parity).
 KERNELS = ("vectorized", "exact")
 
 #: Quantile planes ``score_regions`` can source aggregates from: the
@@ -535,10 +536,6 @@ def effective_modes(
     return (mode,) * len(cc.datasets)
 
 
-#: Backwards-compatible private alias (pre-serving-layer name).
-_effective_modes = effective_modes
-
-
 def _grouped_sources(
     store: "object",
     config: IQBConfig,
@@ -579,7 +576,6 @@ def _grouped_sources(
 def score_regions(
     records: "object",
     config: IQBConfig,
-    workers: int = 1,
     kernel: str = "vectorized",
     quantiles: Optional[str] = None,
 ) -> Dict[str, ScoreBreakdown]:
@@ -589,8 +585,8 @@ def score_regions(
     re-filtering and re-grouping the record stream once per region (the
     ``for_region(...).group_by_source()`` loop), the batch is transposed
     once into a :class:`~repro.measurements.columnar.ColumnarStore` and
-    every region is scored off shared per-metric planes — by default in
-    one batched numpy pass (:mod:`repro.core.kernel`).
+    every region is scored off shared per-metric planes in one batched
+    numpy pass (:mod:`repro.core.kernel`).
 
     Args:
         records: a :class:`~repro.measurements.collection.MeasurementSet`,
@@ -598,17 +594,14 @@ def score_regions(
             ``ColumnarStore``, or a pre-grouped mapping
             ``region → {dataset → QuantileSource}``.
         config: the scoring configuration applied to every region.
-        workers: when ``> 1``, regions are scored by a forked worker
-            pool (:mod:`repro.parallel`); the merged result is
-            bit-identical to the serial path, and worker telemetry
-            merges back into this process's registry.
-        kernel: ``"vectorized"`` (default) scores all regions in one
-            batched numpy pass over the store's aggregate cube;
-            ``"exact"`` runs the scalar reference loop. Pre-grouped
+        kernel: ``"vectorized"`` (default) is the production kernel.
+            ``"exact"`` runs the scalar Eq. 1–5 reference loop; it is
+            the oracle that parity tests and the benchmark's output
+            checks compare against, not a production option. Pre-grouped
             mappings carry opaque QuantileSources (not columnar
-            arrays), so they always fall back to the exact path; both
-            kernels produce identical breakdowns (tests assert
-            bit-equality for BINARY, ≤1e-12 for the graded modes).
+            arrays), so they always take the reference loop; both
+            produce identical breakdowns (tests assert bit-equality for
+            BINARY, ≤1e-12 for the graded modes).
         quantiles: global override of the config's
             :class:`~repro.core.config.QuantilePolicy` — ``"exact"``
             forces the sorted columnar plane for every dataset
@@ -627,8 +620,6 @@ def score_regions(
     Raises:
         ValueError: on an unknown ``kernel`` name.
         DataError: when the batch is empty — via :func:`score_region`.
-        repro.parallel.ShardError: when a worker shard fails
-            (``workers > 1`` only), naming the shard's regions.
     """
     if kernel not in KERNELS:
         raise ValueError(
@@ -640,24 +631,6 @@ def score_regions(
             f"(have {QUANTILE_SOURCES})"
         )
     with span("score_regions") as stage:
-        if workers > 1:
-            # Imported lazily: repro.parallel sits above both core and
-            # measurements in the layering.
-            from repro.parallel.scoring import score_regions_parallel
-
-            merged = score_regions_parallel(
-                records,
-                config,
-                workers,
-                stage=stage,
-                kernel=kernel,
-                quantiles=quantiles,
-            )
-            _BATCH_REGIONS.inc(len(merged))
-            _DEGRADED_REGIONS.set(
-                float(sum(1 for b in merged.values() if b.degraded))
-            )
-            return merged
         source_label = "exact"
         if isinstance(records, Mapping):
             # Pre-grouped sources are opaque QuantileSources; only the
@@ -687,7 +660,7 @@ def score_regions(
                         if isinstance(records, ColumnarStore)
                         else ColumnarStore.from_measurements(records)  # type: ignore[arg-type]
                     )
-                    modes = _effective_modes(config, quantiles)
+                    modes = effective_modes(config, quantiles)
                 if kernel == "vectorized":
                     from .kernel import score_store
 

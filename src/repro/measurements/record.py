@@ -14,6 +14,7 @@ timezone-agnostic and cheap to generate in bulk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
@@ -46,7 +47,20 @@ class Measurement:
             raise SchemaError("measurement requires a region")
         if not self.source:
             raise SchemaError("measurement requires a source dataset name")
-        if all(self.value(m) is None for m in Metric):
+        # NaN compares false against every bound below, so finiteness
+        # is checked first: a non-finite sample has no place in a
+        # percentile and would score differently per quantile plane.
+        if not math.isfinite(self.timestamp):
+            raise SchemaError(f"non-finite timestamp: {self.timestamp}")
+        observed = False
+        for metric in Metric:
+            value = self.value(metric)
+            if value is None:
+                continue
+            if not math.isfinite(value):
+                raise SchemaError(f"non-finite {metric.value}: {value}")
+            observed = True
+        if not observed:
             raise SchemaError("measurement carries no metric values")
         for metric in (Metric.DOWNLOAD, Metric.UPLOAD):
             value = self.value(metric)

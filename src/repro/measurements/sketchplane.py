@@ -24,9 +24,12 @@ scoring", for measured bounds; the parity suite pins p95/p99 relative
 error ≤ 1% vs the exact plane).
 
 Planes are mergeable and serializable (``merge`` / ``to_state`` /
-``from_state``), mirroring the t-digest plumbing PR 4 ships for shard
-timer telemetry: workers sketch their shard and the parent merges, and
-monitor journals can checkpoint sketch state instead of raw records.
+``from_state``): the dataset cache folds per-tile planes into one
+(:func:`repro.cache.warm_plane`), and monitor journals can checkpoint
+sketch state instead of raw records. Planes are built in-process: a
+region-sharded two-worker build was no faster than one pass on 34k
+records and three times slower on 11.5k (2-vCPU Linux VM, wall
+clock).
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ class SketchPlane:
     same ``aggregate_cube`` / ``sources_by_region`` surface (so the
     scoring kernel and the scalar scorer both consume it), but built by
     O(1)-amortized ``add`` instead of a batch transpose, and mergeable
-    across shards and serializable into journals.
+    across cache tiles and serializable into journals.
     """
 
     #: Native quantile plane (kernel provenance): streaming t-digests.
@@ -299,10 +302,9 @@ class SketchPlane:
         """A new plane summarizing both inputs (inputs unchanged).
 
         Disjoint cells are copied; shared cells t-digest-merge, so
-        per-shard planes built over partitioned records combine into
-        exactly the plane a single pass would have built (same counts,
-        sketch-equivalent quantiles) — the same contract PR 4's shard
-        timer digests rely on.
+        planes built over partitioned records (e.g. cache tiles)
+        combine into exactly the plane a single pass would have built
+        (same counts, sketch-equivalent quantiles).
         """
         merged = SketchPlane(delta=min(self.delta, other.delta))
         merged._records = self._records + other._records

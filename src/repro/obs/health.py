@@ -310,6 +310,22 @@ class HealthMonitor:
                         rule.threshold_s
                     )
 
+    def count_errors_from(self, counters: Mapping[str, float]) -> None:
+        """Open every error-rate rule's first interval at ``counters``.
+
+        Error rates are deltas of process-global registry counters, so
+        by default the first interval reaches back to process start. A
+        command that may share its process with earlier runs passes the
+        counter totals it started from (``snapshot()["counters"]``), so
+        only its own work is judged.
+        """
+        for rule in self.rules:
+            if rule.signal == "error_rate":
+                self._last_counter_values[rule.name] = (
+                    int(counters.get(rule.bad_counter or "", 0)),
+                    int(counters.get(rule.total_counter or "", 0)),
+                )
+
     # -- time ---------------------------------------------------------------
 
     @property

@@ -113,11 +113,12 @@ class RunManifest:
     #: region → datasets that contributed nothing there (degraded-mode
     #: scoring); empty when every configured dataset reported everywhere.
     degraded: Dict[str, List[str]] = field(default_factory=dict)
-    #: Which batch-scoring kernel produced the run's scores
-    #: ("vectorized" / "exact"); None for runs that never scored and for
-    #: manifests written before the kernel existed. Provenance for perf
-    #: comparisons: ``iqb runs diff`` ratios are only apples-to-apples
-    #: when both runs name the same kernel.
+    #: Which batch-scoring kernel produced the run's scores: always
+    #: "vectorized" for runs recorded by :class:`RunContext` (the only
+    #: production kernel); older manifests may name the scalar "exact"
+    #: reference, and ones written before the kernel existed carry
+    #: None. Provenance for perf comparisons: ``iqb runs diff`` ratios
+    #: are only apples-to-apples when both runs name the same kernel.
     kernel: Optional[str] = None
     #: Which quantile plane scored the run ("exact" / "sketch"); None
     #: when the run followed the config's per-dataset policy (or never
@@ -225,7 +226,6 @@ class RunContext:
         self._inputs: List[Dict[str, object]] = []
         self._outputs: List[str] = []
         self._degraded: Dict[str, List[str]] = {}
-        self._kernel: Optional[str] = None
         self._quantiles: Optional[str] = None
         self._cache: Optional[Dict[str, Any]] = None
         self._health: Optional[Dict[str, Any]] = None
@@ -233,10 +233,6 @@ class RunContext:
     def set_config(self, config: "IQBConfig") -> None:
         """Record the scoring config this run used (last write wins)."""
         self._config = config
-
-    def set_kernel(self, kernel: str) -> None:
-        """Record which batch-scoring kernel the run selected."""
-        self._kernel = str(kernel)
 
     def set_quantiles(self, quantiles: Optional[str]) -> None:
         """Record the run's quantile-plane override (None = config)."""
@@ -320,7 +316,7 @@ class RunContext:
             outputs=tuple(self._outputs),
             metrics=registry.snapshot(),
             degraded=dict(self._degraded),
-            kernel=self._kernel,
+            kernel="vectorized",
             quantiles=self._quantiles,
             cache=self._cache,
             health=self._health,

@@ -1,14 +1,17 @@
-"""Sharded parallel execution: multi-worker scoring and ingest.
+"""Sharded parallel execution: multi-worker ingest and simulation.
 
 The pipeline's fan-out layer. :class:`ShardPlan` partitions work into
 disjoint, deterministic shards; :func:`run_sharded` executes a worker
 function over the shards in a forked process pool (payload delivered by
 fork inheritance, per-worker telemetry snapshots merged back into the
 parent registry, failures re-raised as :class:`ShardError` naming the
-failed shard's keys); :func:`score_regions_parallel` and the
-``read_*_parallel`` readers are the two fan-outs the CLI's global
-``--workers`` flag drives. Parallel output is bit-identical to serial
-output by construction — see each module's docstring for the argument.
+failed shard's keys). The CLI's global ``--workers`` flag drives two
+fan-outs: the ``read_*_parallel`` readers and campaign simulation
+(:func:`repro.netsim.simulate_regions`). Scoring always runs
+in-process: sharding it by region showed no resolved end-to-end
+wall-clock win (docs/deployment.md, "Sizing ``--workers``"). Parallel
+output is bit-identical to serial output by construction — see each
+module's docstring for the argument.
 """
 
 from .ingest import (
@@ -18,16 +21,12 @@ from .ingest import (
 )
 from .plan import ShardPlan
 from .pool import ShardError, fork_available, run_sharded
-from .scoring import score_regions_parallel
-from .sketching import sketch_records_parallel
 
 __all__ = [
     "ShardPlan",
     "ShardError",
     "fork_available",
     "run_sharded",
-    "score_regions_parallel",
-    "sketch_records_parallel",
     "read_jsonl_parallel",
     "read_csv_parallel",
     "split_line_ranges",

@@ -1,8 +1,7 @@
 """Shard planning: deterministic partitioning of work across workers.
 
-The IQB score is embarrassingly parallel across regions — Eqs. 1–5
-never mix measurements from two regions — so the unit of parallel work
-is a *shard*: a disjoint, contiguous slice of the (caller-ordered) key
+Regions simulate independently, so the unit of parallel work is a
+*shard*: a disjoint, contiguous slice of the (caller-ordered) key
 list. :class:`ShardPlan` owns the partitioning arithmetic and nothing
 else: shards are balanced (sizes differ by at most one), cover every
 key exactly once, and the plan for a given ``(keys, workers)`` pair is
@@ -10,7 +9,7 @@ a pure function of its inputs, which is what makes parallel results
 reproducible and mergeable in a fixed order.
 
 Keys are taken in the order given — callers that need a canonical
-order (the scoring fan-out sorts regions) sort before planning.
+order sort before planning.
 """
 
 from __future__ import annotations

@@ -95,26 +95,16 @@ class MemorySink:
     def score_all(
         self,
         config: "IQBConfig",
-        workers: int = 1,
-        kernel: str = "vectorized",
         quantiles: Optional[str] = None,
     ) -> Dict[str, "ScoreBreakdown"]:
         """Batch-score every region collected so far (columnar path).
 
-        ``workers > 1`` shards the scoring across a worker pool,
-        ``kernel`` selects the batch-scoring kernel — bit-identical
-        results either way — and ``quantiles`` overrides the config's
-        quantile policy (exact / sketch plane selection).
+        ``quantiles`` overrides the config's quantile policy (exact /
+        sketch plane selection).
         """
         from repro.core.scoring import score_regions
 
-        return score_regions(
-            self.as_columnar(),
-            config,
-            workers=workers,
-            kernel=kernel,
-            quantiles=quantiles,
-        )
+        return score_regions(self.as_columnar(), config, quantiles=quantiles)
 
 
 class SketchSink:

@@ -45,8 +45,8 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.analysis.national import NationalScore, national_score
 from repro.core.config import IQBConfig, QuantileMode
+from repro.core.kernel import score_values
 from repro.core.scoring import (
-    KERNELS,
     QUANTILE_SOURCES,
     ScoreBreakdown,
     effective_modes,
@@ -96,11 +96,8 @@ class ScoringService:
             lifetime; its digest is half of the ETag).
         populations: region → population for :meth:`national`;
             ``None`` weighs every scored region equally.
-        kernel: ``"vectorized"`` (default) or ``"exact"`` — same
-            semantics as ``score_regions``.
         quantiles: global quantile-plane override (``"exact"`` /
             ``"sketch"`` / ``None`` = follow the config policy).
-        workers: forwarded to ``score_regions`` for breakdown sweeps.
         cache_size: LRU bound on retained results (each entry is a
             whole sweep's output; breakdown trees dominate memory).
         batch_window_s: how long a cache-miss leader waits before
@@ -113,16 +110,10 @@ class ScoringService:
         store: "object",
         config: IQBConfig,
         populations: Optional[Mapping[str, float]] = None,
-        kernel: str = "vectorized",
         quantiles: Optional[str] = None,
-        workers: int = 1,
         cache_size: int = 64,
         batch_window_s: float = 0.0,
     ) -> None:
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown scoring kernel: {kernel!r} (have {KERNELS})"
-            )
         if quantiles is not None and quantiles not in QUANTILE_SOURCES:
             raise ValueError(
                 f"unknown quantile source: {quantiles!r} "
@@ -139,9 +130,7 @@ class ScoringService:
         self._populations = (
             dict(populations) if populations is not None else None
         )
-        self._kernel = kernel
         self._quantiles = quantiles
-        self._workers = workers
         self._batch_window_s = float(batch_window_s)
         self.config_sha256 = config_digest(config)
         if native == "sketch":
@@ -242,27 +231,9 @@ class ScoringService:
 
         def compute(generation: int) -> ScoresResult:
             _SWEEPS.inc()
-            if self._kernel == "exact":
-                # The scalar kernel has no scores-only path; reuse the
-                # full sweep and project (still one compute per
-                # generation thanks to the cache + single-flight).
-                scored = score_regions(
-                    self._store,
-                    self._config,
-                    workers=self._workers,
-                    kernel=self._kernel,
-                    quantiles=self._quantiles,
-                )
-                values = {
-                    region: breakdown.value
-                    for region, breakdown in scored.items()
-                }
-            else:
-                from repro.core.kernel import score_values
-
-                values = score_values(
-                    self._store, self._config, modes=self._modes
-                )
+            values = score_values(
+                self._store, self._config, modes=self._modes
+            )
             return ScoresResult(
                 generation=generation,
                 values=values,
@@ -277,11 +248,7 @@ class ScoringService:
         def compute(generation: int) -> BreakdownsResult:
             _SWEEPS.inc()
             scored = score_regions(
-                self._store,
-                self._config,
-                workers=self._workers,
-                kernel=self._kernel,
-                quantiles=self._quantiles,
+                self._store, self._config, quantiles=self._quantiles
             )
             return BreakdownsResult(generation=generation, regions=scored)
 
@@ -333,10 +300,12 @@ class ScoringService:
         """The /v1/config payload: digest, knobs, and the config."""
         return {
             "config_sha256": self.config_sha256,
-            "kernel": self._kernel,
+            "kernel": "vectorized",
             "quantiles": self._quantiles,
             "quantile_source": self._source,
-            "workers": self._workers,
+            # Sweeps always run in-process; the key stays so the
+            # document keeps its shape.
+            "workers": 1,
             "cache_size": self._cache.maxsize,
             "batch_window_s": self._batch_window_s,
             "config": json.loads(self._config.to_json()),

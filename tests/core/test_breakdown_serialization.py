@@ -87,24 +87,12 @@ class TestCliJson:
         rebuilt = ScoreBreakdown.from_dict(document["regions"]["metro-fiber"])
         assert 0.0 <= rebuilt.value <= 1.0
 
-    def test_score_json_records_exact_kernel(self, tmp_path, capsys):
-        from repro.cli import main
+    def test_kernel_is_not_a_cli_option(self, capsys):
+        """The vectorized kernel is the only production route; the
+        scalar reference is reachable from the library, not the CLI."""
+        from repro.cli import build_parser, main
 
-        path = tmp_path / "campaign.jsonl"
-        main(
-            [
-                "simulate",
-                str(path),
-                "--regions",
-                "metro-fiber",
-                "--tests",
-                "40",
-                "--subscribers",
-                "10",
-            ]
-        )
-        capsys.readouterr()
-        assert main(["--kernel", "exact", "score", str(path), "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["kernel"] == "exact"
-        assert set(document["regions"]) == {"metro-fiber"}
+        assert "--kernel" not in build_parser().format_help()
+        with pytest.raises(SystemExit):
+            main(["score", "x.jsonl", "--kernel", "exact"])
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err

@@ -16,8 +16,6 @@ lopsided sample counts — and these tests assert:
   with enough datasets to cross numpy's pairwise-summation cutoff.
 * **Errors**: DataError parity — same exception, same message, for
   every missing-data policy (SKIP / FAIL / STRICT).
-* **Parallel**: parity holds through ``score_regions_parallel`` with
-  ``workers=2`` (vectorized shards vs the serial exact path).
 """
 
 import math
@@ -317,28 +315,6 @@ class TestTargetedEdges:
 
 
 class TestParallelParity:
-    def test_workers_two_matches_exact_serial(self, config):
-        from repro.netsim import CampaignConfig, region_preset, simulate_region
-        from repro.netsim.population import REGION_PRESETS
-
-        campaign = CampaignConfig(subscribers=12, tests_per_client=30)
-        records = MeasurementSet()
-        for name in sorted(REGION_PRESETS):
-            records = records + simulate_region(
-                region_preset(name), seed=23, config=campaign
-            )
-        exact = score_regions(records, config, kernel="exact")
-        parallel = score_regions(
-            records, config, workers=2, kernel="vectorized"
-        )
-        assert parallel == exact
-        assert list(parallel) == list(exact)
-        # And the exact kernel shards identically too.
-        assert (
-            score_regions(records, config, workers=2, kernel="exact")
-            == exact
-        )
-
     def test_serialization_roundtrip_of_kernel_output(self):
         records = MeasurementSet(
             [

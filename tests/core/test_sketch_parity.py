@@ -219,15 +219,6 @@ class TestScoreParity:
                 scalar[region].value, abs=1e-12
             )
 
-    def test_parallel_sketch_matches_serial_sketch(self):
-        records = self._records(150)
-        config = paper_config()
-        serial = score_regions(records, config, quantiles="sketch")
-        parallel = score_regions(
-            records, config, workers=2, quantiles="sketch"
-        )
-        assert parallel == serial
-
     def test_sketch_plane_input_scores_directly(self):
         records = self._records(200)
         plane = sketch_records(list(records))
@@ -242,10 +233,6 @@ class TestScoreParity:
         plane = sketch_records(_spread_records(50))
         with pytest.raises(ValueError, match="no exact quantile plane"):
             score_regions(plane, paper_config(), quantiles="exact")
-        with pytest.raises(ValueError, match="no exact quantile plane"):
-            score_regions(
-                plane, paper_config(), workers=2, quantiles="exact"
-            )
 
     def test_unknown_quantile_source_rejected(self):
         records = self._records(20)

@@ -128,6 +128,63 @@ class TestErrorHandling:
         assert main(["score", str(mixed), "--on-error", "skip"]) == 0
         assert "metro-fiber" in capsys.readouterr().out
 
+    def test_unscorable_data_exits_2(self, tmp_path, capsys):
+        from repro.core.config import MissingDataPolicy, paper_config
+
+        strict = tmp_path / "strict.json"
+        config = paper_config().with_(missing_data=MissingDataPolicy.STRICT)
+        strict.write_text(config.to_json())
+        one = tmp_path / "one.jsonl"
+        one.write_text(
+            json.dumps(
+                {
+                    "region": "r",
+                    "source": "ndt",
+                    "timestamp": 1.0,
+                    "download_mbps": 50.0,
+                }
+            )
+            + "\n"
+        )
+        code = main(["score", str(one), "--config", str(strict), "--json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("iqb: error: no dataset observes upload_mbps")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_values_fail_alike_on_every_route(
+        self, campaign_file, tmp_path, capsys, token
+    ):
+        lines = campaign_file.read_text().splitlines()[:3000]
+        dirty_lines, clean_lines = [], []
+        for index, line in enumerate(lines):
+            if index % 5 == 0:
+                record = json.loads(line)
+                record["download_mbps"] = "__BAD__"
+                dirty_lines.append(
+                    json.dumps(record).replace('"__BAD__"', token)
+                )
+            else:
+                dirty_lines.append(line)
+                clean_lines.append(line)
+        dirty = tmp_path / "dirty.jsonl"
+        dirty.write_text("\n".join(dirty_lines) + "\n")
+        clean = tmp_path / "clean.jsonl"
+        clean.write_text("\n".join(clean_lines) + "\n")
+
+        errors = []
+        for route in (["score"], ["--quantiles", "sketch", "score"]):
+            assert main([*route, str(dirty), "--json"]) == 2
+            errors.append(capsys.readouterr().err)
+            skip = ["--json", "--on-error", "skip"]
+            assert main([*route, str(dirty), *skip]) == 0
+            skipped = json.loads(capsys.readouterr().out)
+            assert main([*route, str(clean), "--json"]) == 0
+            assert skipped == json.loads(capsys.readouterr().out)
+        assert errors[0] == errors[1]
+        assert f"non-finite download_mbps: {float(token)}" in errors[0]
+
 
 class TestQuantilesFlag:
     def test_exact_override_matches_default_json(self, campaign_file, capsys):

@@ -1,5 +1,7 @@
 """Unit tests for repro.measurements.record."""
 
+import math
+
 import pytest
 
 from repro.core.exceptions import SchemaError
@@ -74,6 +76,23 @@ class TestValidation:
             make(packet_loss=-0.01)
         assert make(packet_loss=0.0).packet_loss == 0.0
         assert make(packet_loss=1.0).packet_loss == 1.0
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "timestamp",
+            "download_mbps",
+            "upload_mbps",
+            "latency_ms",
+            "packet_loss",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        # NaN slips past every `<`/`<=` bound, so each field needs an
+        # explicit finiteness check.
+        with pytest.raises(SchemaError, match=f"non-finite {field}"):
+            make(**{field: value})
 
 
 class TestSerialization:

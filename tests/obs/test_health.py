@@ -380,6 +380,28 @@ class TestHealthMonitor:
         (status,) = monitor.evaluate().rules
         assert status.state == "ok"
 
+    def test_error_rate_counts_from_the_given_start(self):
+        from repro.obs import REGISTRY, snapshot
+
+        rule = SLORule(
+            name="errs",
+            signal="error_rate",
+            target=0.9,
+            bad_counter="test.health.earlier_bad",
+            total_counter="test.health.earlier_total",
+        )
+        bad = REGISTRY.counter("test.health.earlier_bad")
+        total = REGISTRY.counter("test.health.earlier_total")
+        bad.inc(500)  # an earlier run in the same process
+        total.inc(500)
+        monitor = HealthMonitor(rules=(rule,))
+        monitor.count_errors_from(snapshot()["counters"])
+        total.inc(100)  # this run: clean
+        monitor.tick(0.0)
+        (status,) = monitor.evaluate().rules
+        assert status.state == "ok"
+        assert status.detail == ""
+
 
 class TestInstallation:
     def test_install_get_uninstall_cycle(self):

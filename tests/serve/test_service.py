@@ -36,18 +36,6 @@ class TestScores:
         assert second is first  # the very same immutable result object
         assert _sweeps() == before + 1
 
-    def test_exact_kernel_projects_from_breakdowns(self, store, config):
-        service = ScoringService(store, config, kernel="exact")
-        result = service.scores()
-        expected = score_regions(store, config, kernel="exact")
-        assert result.values == {
-            region: b.value for region, b in expected.items()
-        }
-
-    def test_unknown_kernel_rejected(self, store, config):
-        with pytest.raises(ValueError):
-            ScoringService(store, config, kernel="turbo")
-
     def test_unknown_quantiles_rejected(self, store, config):
         with pytest.raises(ValueError):
             ScoringService(store, config, quantiles="fuzzy")

@@ -728,7 +728,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         records = store
     else:
         records = _read_measurements(args)
-        store = ColumnarStore(list(records))
+        store = ColumnarStore(records)
     config = _load_config(args.config)
     populations = None
     if args.populations is not None:
@@ -1021,10 +1021,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                 for i in range(args.probes)
             ]
             runner.run(schedule)
-        with span("ingest"):
-            if args.input:
-                records = _read_measurements(args)
-            else:
+        if args.input:
+            records = _read_measurements(args)  # the reader's own span
+        else:
+            with span("ingest"):
                 records = sink.as_set()
         with span("score"):
             if len(records):

@@ -36,6 +36,7 @@ from repro.core.aggregation import percentile_of
 from repro.core.metrics import Metric
 from repro.obs import counter
 
+from .batch import RecordBatch
 from .record import Measurement
 
 # Quantile-plane telemetry (see docs/methodology.md, "Observability"):
@@ -54,13 +55,31 @@ class MeasurementSet:
     "Immutable-ish": the only mutators are :meth:`add` and
     :meth:`extend`, which invalidate the set's caches. Everything else
     returns shared or fresh sets without touching the receiver.
+
+    A set is backed either by a record list or by a
+    :class:`~.batch.RecordBatch` (what the file readers return). A
+    batch-backed set answers length, grouping, axis and quantile
+    queries from the columns and builds its ``Measurement`` objects
+    only when iterated, indexed, filtered or mutated.
     """
 
     def __init__(self, records: Iterable[Measurement] = ()) -> None:
-        self._records: List[Measurement] = list(records)
+        self._rows: Optional[List[Measurement]] = list(records)
+        self._batch: Optional[RecordBatch] = None
         self._shared = False
         self._parent_cache: Optional[Tuple[Dict[str, "MeasurementSet"], str]] = None
         self._reset_caches()
+
+    @classmethod
+    def from_batch(cls, batch: RecordBatch) -> "MeasurementSet":
+        """A set over a record batch (records built on first walk)."""
+        out = cls.__new__(cls)
+        out._rows = None
+        out._batch = batch
+        out._shared = False
+        out._parent_cache = None
+        out._reset_caches()
+        return out
 
     @classmethod
     def _adopt(
@@ -72,7 +91,8 @@ class MeasurementSet:
         parent's group index); the first mutation then copies-on-write.
         """
         out = cls.__new__(cls)
-        out._records = records
+        out._rows = records
+        out._batch = None
         out._shared = shared
         out._parent_cache = None
         out._reset_caches()
@@ -88,11 +108,39 @@ class MeasurementSet:
         self._region_sets: Dict[str, "MeasurementSet"] = {}
         self._source_sets: Dict[str, "MeasurementSet"] = {}
         self._isp_sets: Dict[str, "MeasurementSet"] = {}
+        self._batch_groups: Dict[str, Dict[str, np.ndarray]] = {}
+
+    @property
+    def _records(self) -> List[Measurement]:
+        """The record list, built from the batch on first use."""
+        if self._rows is None:
+            assert self._batch is not None
+            self._rows = self._batch.measurements()
+        return self._rows
+
+    def to_batch(self) -> RecordBatch:
+        """The records as a :class:`~.batch.RecordBatch` (cached)."""
+        if self._batch is None:
+            self._batch = RecordBatch.from_measurements(self._records)
+        return self._batch
+
+    def _share(self) -> "MeasurementSet":
+        """A new set over the same records (copy-on-write for lists)."""
+        if self._rows is None:
+            assert self._batch is not None
+            return MeasurementSet.from_batch(self._batch)
+        self._shared = True
+        shared = MeasurementSet._adopt(self._rows)
+        shared._batch = self._batch
+        return shared
 
     # -- container basics -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        if self._rows is None:
+            assert self._batch is not None
+            return len(self._batch)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Measurement]:
         return iter(self._records)
@@ -106,25 +154,29 @@ class MeasurementSet:
         # Empty-side fast paths: share the non-empty set instead of
         # re-copying its records (both sets are marked shared so a later
         # mutation of either copies-on-write first).
-        if not other._records:
-            self._shared = True
-            return MeasurementSet._adopt(self._records)
-        if not self._records:
-            other._shared = True
-            return MeasurementSet._adopt(other._records)
+        if not len(other):
+            return self._share()
+        if not len(self):
+            return other._share()
+        if self._rows is None and other._rows is None:
+            return MeasurementSet.from_batch(
+                RecordBatch.concat([self.to_batch(), other.to_batch()])
+            )
         return MeasurementSet._adopt(
             self._records + other._records, shared=False
         )
 
     def __repr__(self) -> str:
-        return f"MeasurementSet({len(self._records)} records)"
+        return f"MeasurementSet({len(self)} records)"
 
     # -- mutation ----------------------------------------------------------
 
     def _prepare_mutation(self) -> None:
-        if self._shared:
-            self._records = list(self._records)
-            self._shared = False
+        # Mutation edits the record list; the batch goes stale with it.
+        records = self._records
+        self._rows = list(records) if self._shared else records
+        self._shared = False
+        self._batch = None
         if self._parent_cache is not None:
             # A cached group subset diverges from its parent on first
             # mutation: drop it from the parent's handout cache so the
@@ -151,14 +203,13 @@ class MeasurementSet:
         self, predicate: Callable[[Measurement], bool]
     ) -> "MeasurementSet":
         """Records matching an arbitrary predicate."""
-        if not self._records:
+        if not len(self):
             return self
         matched = [r for r in self._records if predicate(r)]
         if len(matched) == len(self._records):
             # Everything matched: share the record list instead of
             # carrying a second copy of it.
-            self._shared = True
-            return MeasurementSet._adopt(self._records)
+            return self._share()
         return MeasurementSet._adopt(matched, shared=False)
 
     def _grouped(
@@ -174,15 +225,34 @@ class MeasurementSet:
             setattr(self, attr, groups)
         return groups
 
+    def _group_keys(self, axis: str) -> Iterable[str]:
+        """Distinct keys on one axis, in first-appearance order."""
+        if self._rows is None:
+            assert self._batch is not None
+            return self._batch.names[axis]
+        return self._grouped(axis)
+
     def _group_set(self, axis: str, key: str) -> "MeasurementSet":
         sets = getattr(self, f"_{axis}_sets")
         subset = sets.get(key)
         if subset is None:
-            records = self._grouped(axis).get(key)
-            if records is None:
-                subset = MeasurementSet()
+            if self._rows is None:
+                assert self._batch is not None
+                groups = self._batch_groups.get(axis)
+                if groups is None:
+                    groups = self._batch_groups[axis] = self._batch.groups(axis)
+                rows = groups.get(key)
+                subset = (
+                    MeasurementSet()
+                    if rows is None
+                    else MeasurementSet.from_batch(self._batch.take(rows))
+                )
             else:
-                subset = MeasurementSet._adopt(records)
+                records = self._grouped(axis).get(key)
+                if records is None:
+                    subset = MeasurementSet()
+                else:
+                    subset = MeasurementSet._adopt(records)
             subset._parent_cache = (sets, key)
             sets[key] = subset
         return subset
@@ -205,28 +275,28 @@ class MeasurementSet:
 
     def regions(self) -> Tuple[str, ...]:
         """Distinct regions, sorted (from the cached group index)."""
-        return tuple(sorted(self._grouped("region")))
+        return tuple(sorted(self._group_keys("region")))
 
     def sources(self) -> Tuple[str, ...]:
         """Distinct dataset names, sorted (from the cached group index)."""
-        return tuple(sorted(self._grouped("source")))
+        return tuple(sorted(self._group_keys("source")))
 
     def isps(self) -> Tuple[str, ...]:
         """Distinct ISPs, sorted (empty names excluded)."""
-        return tuple(sorted(key for key in self._grouped("isp") if key))
+        return tuple(sorted(key for key in self._group_keys("isp") if key))
 
     def group_by_region(self) -> Dict[str, "MeasurementSet"]:
         """Split into one set per region (shared with :meth:`for_region`)."""
         return {
             region: self._group_set("region", region)
-            for region in self._grouped("region")
+            for region in self._group_keys("region")
         }
 
     def group_by_source(self) -> Dict[str, "MeasurementSet"]:
         """Split into one set per dataset, ready for ``score_region``."""
         return {
             source: self._group_set("source", source)
-            for source in self._grouped("source")
+            for source in self._group_keys("source")
         }
 
     # -- metric access / QuantileSource protocol ---------------------------
@@ -234,7 +304,12 @@ class MeasurementSet:
     def values(self, metric: Metric) -> List[float]:
         """All non-missing values of ``metric``, in record order (cached)."""
         cached = self._values_cache.get(metric)
-        if cached is None:
+        if cached is None and self._rows is None:
+            assert self._batch is not None
+            column = self._batch.column(metric)
+            cached = column[~np.isnan(column)].tolist()
+            self._values_cache[metric] = cached
+        elif cached is None:
             field = metric.field_name
             cached = [
                 value

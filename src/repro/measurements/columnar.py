@@ -6,9 +6,10 @@ The row-oriented :class:`~repro.measurements.collection.MeasurementSet`
 is the right *ingest* shape — one frozen record per test — but scoring
 six use cases over four metrics re-reads every record dozens of times.
 
-:class:`ColumnarStore` transposes a record batch once into per-metric
-numpy columns plus dict-based group indexes (region / source / ISP),
-then hands out :class:`ColumnarView` objects — lightweight row-index
+:class:`ColumnarStore` holds a :class:`~.batch.RecordBatch` — per-metric
+float64 columns plus interned region / source / ISP codes, as the
+readers decode them — builds group indexes from the codes, then hands
+out :class:`ColumnarView` objects — lightweight row-index
 selections that implement the QuantileSource protocol. Views share the
 store's columns (no record copying) and memoize every
 (metric, percentile) answer.
@@ -31,8 +32,8 @@ what lets :func:`repro.core.scoring.score_regions` swap in for the
 per-region re-group loop without changing a single ScoreBreakdown.
 
 The exact plane is batch-shaped: build it from a finished batch, and
-treat :meth:`ColumnarStore.append` as a batch boundary — it adopts the
-new records, drops every derived column/index/plane/view (stale views
+treat :meth:`ColumnarStore.append` as a batch boundary — it concatenates
+the new rows onto the batch, drops every derived column/index/plane/view (stale views
 must be re-fetched), and incrementally feeds the store's attached
 :class:`~.sketchplane.SketchPlane` (if one was requested via
 :meth:`ColumnarStore.sketch_plane`), which is how the streaming scoring
@@ -44,7 +45,7 @@ when they need fresh columns — see
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from repro.core.aggregation import percentile_of
 from repro.core.metrics import Metric
 from repro.obs import counter
 
+from .batch import RecordBatch, as_batch, group_rows
 from .record import Measurement
 
 # Columnar quantile-plane telemetry: these are what make PR 1's
@@ -204,20 +206,20 @@ class ColumnarView:
 class ColumnarStore:
     """Per-metric columns + group indexes over one measurement batch.
 
-    Construction is O(records); every column, index, plane, and view is
-    built lazily on first request and shared thereafter. The record
-    list is adopted as-is when a list is passed (the store never
-    mutates it).
+    Accepts a :class:`~.batch.RecordBatch`, a batch-backed
+    ``MeasurementSet`` (its batch is shared, not copied) or any
+    ``Measurement`` iterable (transposed once, O(records)). Every
+    index, plane, and view is built lazily on first request and shared
+    thereafter; the store never mutates its input.
     """
 
     #: Native quantile plane (kernel provenance): exact sorted columns.
     QUANTILE_SOURCE = "exact"
 
-    def __init__(self, records: Iterable[Measurement] = ()) -> None:
-        self._records: List[Measurement] = (
-            records if isinstance(records, list) else list(records)
-        )
-        self._columns: Dict[Metric, np.ndarray] = {}
+    def __init__(
+        self, records: Union[Iterable[Measurement], RecordBatch] = ()
+    ) -> None:
+        self._batch = as_batch(records)
         self._indexes: Dict[str, Dict[str, np.ndarray]] = {}
         self._pair_index: Optional[Dict[Tuple[str, str], np.ndarray]] = None
         self._pair_keys: Optional[Tuple[Tuple[str, str], ...]] = None
@@ -231,32 +233,36 @@ class ColumnarStore:
         self._axis_views: Dict[Tuple[str, str], ColumnarView] = {}
         self._pair_views: Dict[Tuple[str, str], ColumnarView] = {}
         self._by_region: Optional[Dict[str, Dict[str, ColumnarView]]] = None
-        # Adopted lists belong to the caller until the first append
-        # copies them (the store promises never to mutate its input).
-        self._owns_records = not isinstance(records, list)
         self._sketch = None  # type: Optional["SketchPlane"]
         self.generation = 0
 
     @classmethod
     def from_measurements(
-        cls, records: Iterable[Measurement]
+        cls, records: Union[Iterable[Measurement], RecordBatch]
     ) -> "ColumnarStore":
         """Build a store from any record iterable (incl. MeasurementSet)."""
-        return cls(list(records))
+        return cls(records)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._batch)
 
     def __repr__(self) -> str:
-        return f"ColumnarStore({len(self._records)} records)"
+        return f"ColumnarStore({len(self._batch)} records)"
+
+    @property
+    def batch(self) -> RecordBatch:
+        """The store's rows as columns (shared; do not mutate)."""
+        return self._batch
 
     def records(self) -> Tuple[Measurement, ...]:
-        """The underlying records (row order preserved)."""
-        return tuple(self._records)
+        """The underlying records (row order preserved), built per call."""
+        return tuple(self._batch.measurements())
 
     # -- streaming ingest --------------------------------------------------
 
-    def append(self, records: Iterable[Measurement]) -> None:
+    def append(
+        self, records: Union[Iterable[Measurement], RecordBatch]
+    ) -> None:
         """Adopt new records: a batch boundary for the exact plane.
 
         Every derived artifact (columns, indexes, sorted planes, cubes,
@@ -274,14 +280,10 @@ class ColumnarStore:
         (the serving layer's score cache) invalidate on a single
         integer compare.
         """
-        new = records if isinstance(records, list) else list(records)
-        if not new:
+        new = as_batch(records)
+        if not len(new):
             return
-        if not self._owns_records:
-            self._records = list(self._records)
-            self._owns_records = True
-        self._records.extend(new)
-        self._columns.clear()
+        self._batch = RecordBatch.concat([self._batch, new])
         self._indexes.clear()
         self._pair_index = None
         self._pair_keys = None
@@ -302,10 +304,12 @@ class ColumnarStore:
 
             health = get_health_monitor()
             if health is not None:
-                for record in new:
-                    health.record_arrival(
-                        record.region, record.source, record.timestamp
-                    )
+                for region, source, timestamp in zip(
+                    new.labels("region"),
+                    new.labels("source"),
+                    new.timestamp.tolist(),
+                ):
+                    health.record_arrival(region, source, timestamp)
         # Bumped last: the plane is fully consistent (records adopted,
         # caches dropped, sketch fed) before the stamp moves, so a
         # stamp can never name a partially-appended batch.
@@ -328,7 +332,7 @@ class ColumnarStore:
             self._sketch = SketchPlane(
                 delta=delta if delta is not None else DEFAULT_DELTA
             )
-            self._sketch.extend(self._records)
+            self._sketch.extend(self._batch)
         elif delta is not None and delta != self._sketch.delta:
             raise ValueError(
                 f"store sketch plane already built at delta="
@@ -340,20 +344,7 @@ class ColumnarStore:
 
     def column(self, metric: Metric) -> np.ndarray:
         """The full value column for ``metric`` (NaN where unobserved)."""
-        cached = self._columns.get(metric)
-        if cached is None:
-            field = metric.field_name
-            cached = np.array(
-                [
-                    value if value is not None else np.nan
-                    for value in (
-                        getattr(record, field) for record in self._records
-                    )
-                ],
-                dtype=np.float64,
-            )
-            self._columns[metric] = cached
-        return cached
+        return self._batch.column(metric)
 
     def index(self, axis: str) -> Dict[str, np.ndarray]:
         """Group index for one axis: key → row-index array.
@@ -365,16 +356,8 @@ class ColumnarStore:
             raise KeyError(f"unknown group axis: {axis!r} (have {AXES})")
         cached = self._indexes.get(axis)
         if cached is None:
-            buckets: Dict[str, List[int]] = {}
-            for row, record in enumerate(self._records):
-                key = getattr(record, axis)
-                if not key:
-                    continue
-                buckets.setdefault(key, []).append(row)
-            cached = {
-                key: np.asarray(rows, dtype=np.intp)
-                for key, rows in buckets.items()
-            }
+            cached = self._batch.groups(axis)
+            cached.pop("", None)
             self._indexes[axis] = cached
         return cached
 
@@ -393,27 +376,22 @@ class ColumnarStore:
     # -- pair planes (store-wide one-sort-per-metric layout) ---------------
 
     def _ensure_pairs(self) -> None:
-        """Build the (region, dataset) pair index, slots, and row → slot map."""
+        """Build the (region, dataset) pair slots and row → slot map.
+
+        Pairs come from the batch's interned codes; slots are in sorted
+        (region, dataset) name order.
+        """
         if self._pair_slots is not None:
             return
-        if self._pair_index is None:
-            buckets: Dict[Tuple[str, str], List[int]] = {}
-            for row, record in enumerate(self._records):
-                buckets.setdefault(
-                    (record.region, record.source), []
-                ).append(row)
-            self._pair_index = {
-                key: np.asarray(rows, dtype=np.intp)
-                for key, rows in buckets.items()
-            }
-        self._pair_keys = tuple(sorted(self._pair_index))
+        codes, keys = self._batch.pairs()
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        slot_of = np.empty(len(keys), dtype=np.intp)
+        slot_of[order] = np.arange(len(keys), dtype=np.intp)
+        self._pair_keys = tuple(keys[i] for i in order)
         self._pair_slots = {
             key: slot for slot, key in enumerate(self._pair_keys)
         }
-        ids = np.empty(len(self._records), dtype=np.intp)
-        for key, rows in self._pair_index.items():
-            ids[rows] = self._pair_slots[key]
-        self._pair_ids = ids
+        self._pair_ids = slot_of[codes]
 
     def _pair_plane(self, metric: Metric) -> _MetricPlane:
         """The metric's column grouped by pair and sorted, built once.
@@ -553,7 +531,7 @@ class ColumnarStore:
         if not selected:
             if self._all_view is None:
                 self._all_view = ColumnarView(
-                    self, np.arange(len(self._records), dtype=np.intp)
+                    self, np.arange(len(self._batch), dtype=np.intp)
                 )
             return self._all_view
         if len(selected) == 1:
@@ -583,7 +561,14 @@ class ColumnarStore:
         view = self._pair_views.get(key)
         if view is None:
             self._ensure_pairs()
-            assert self._pair_index is not None  # _ensure_pairs built it
+            if self._pair_index is None:
+                assert self._pair_keys is not None and self._pair_ids is not None
+                self._pair_index = dict(
+                    zip(
+                        self._pair_keys,
+                        group_rows(self._pair_ids, len(self._pair_keys)),
+                    )
+                )
             rows = self._pair_index.get(key)
             if rows is None:
                 view = ColumnarView(self, np.empty(0, dtype=np.intp))

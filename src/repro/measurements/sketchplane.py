@@ -34,7 +34,7 @@ clock).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,12 +42,14 @@ from repro.core.metrics import Metric
 from repro.obs import counter
 from repro.obs.health import get_health_monitor
 
+from .batch import METRICS, RecordBatch, as_batch, group_rows
 from .columnar import AggregateCube
 from .record import Measurement
 from .tdigest import DEFAULT_DELTA, TDigest
 
 # Streaming-plane telemetry: ``updates`` counts digest inserts (one per
-# observed metric value), ``rescore.hits`` counts quantile-plane reads
+# observed metric value, incremented once per record or batch by the
+# total), ``rescore.hits`` counts quantile-plane reads
 # served from sketch state instead of a raw-record recompute.
 _UPDATES = counter("sketch.updates")
 _RESCORE_HITS = counter("sketch.rescore.hits")
@@ -75,19 +77,44 @@ class SketchView:
     def __repr__(self) -> str:
         return f"SketchView({self._records} records)"
 
+    def _digest(self, metric: Metric) -> TDigest:
+        digest = self._digests.get(metric)
+        if digest is None:
+            digest = TDigest(delta=self._delta)
+            self._digests[metric] = digest
+        return digest
+
     def observe(self, record: Measurement) -> None:
         """Fold one measurement into the cell's metric digests."""
         self._records += 1
-        for metric in Metric.ordered():
+        updates = 0
+        for metric in METRICS:
             value = getattr(record, metric.field_name)
             if value is None:
                 continue
-            digest = self._digests.get(metric)
-            if digest is None:
-                digest = TDigest(delta=self._delta)
-                self._digests[metric] = digest
-            digest.add(float(value))
-            _UPDATES.inc()
+            self._digest(metric).add(float(value))
+            updates += 1
+        _UPDATES.inc(updates)
+
+    def observe_rows(self, batch: RecordBatch, rows: np.ndarray) -> int:
+        """Fold batch ``rows`` (ascending) in; returns digest inserts.
+
+        Each metric's observed values go to its digest as one
+        :meth:`TDigest.extend` chunk, in row order — the same sequence
+        a per-record :meth:`observe` loop feeds it, so the digests come
+        out bit-identical. Digests are created in the order that loop
+        would create them (first observing row, then metric order).
+        """
+        self._records += int(rows.size)
+        fed = []
+        for position, metric in enumerate(METRICS):
+            values = batch.column(metric)[rows]
+            seen = np.flatnonzero(~np.isnan(values))
+            if seen.size:
+                fed.append((int(seen[0]), position, metric, values[seen]))
+        for _, _, metric, values in sorted(fed, key=lambda item: item[:2]):
+            self._digest(metric).extend(values.tolist())
+        return sum(values.size for *_, values in fed)
 
     # -- QuantileSource protocol ------------------------------------------
 
@@ -196,9 +223,38 @@ class SketchPlane:
                 record.region, record.source, record.timestamp
             )
 
-    def extend(self, records: Iterable[Measurement]) -> None:
-        for record in records:
-            self.add(record)
+    def extend(
+        self, records: Union[Iterable[Measurement], RecordBatch]
+    ) -> None:
+        """Fold a batch in: equal to :meth:`add` per record, in order.
+
+        Rows are grouped per (region, dataset) cell with one stable
+        sort over the interned codes, and each cell's metric columns
+        go to its digests through :meth:`TDigest.extend`, so the plane
+        ends bit-identical to a per-record loop. ``sketch.updates``
+        moves once, by the batch's total.
+        """
+        batch = as_batch(records)
+        if not len(batch):
+            return
+        codes, keys = batch.pairs()
+        updates = 0
+        for key, rows in zip(keys, group_rows(codes, len(keys))):
+            view = self._views.get(key)
+            if view is None:
+                view = SketchView(delta=self.delta)
+                self._views[key] = view
+            updates += view.observe_rows(batch, rows)
+        self._records += len(batch)
+        _UPDATES.inc(updates)
+        health = get_health_monitor()
+        if health is not None:
+            for region, source, timestamp in zip(
+                batch.labels("region"),
+                batch.labels("source"),
+                batch.timestamp.tolist(),
+            ):
+                health.record_arrival(region, source, timestamp)
 
     # -- axes --------------------------------------------------------------
 

@@ -21,8 +21,11 @@ test.
 from __future__ import annotations
 
 import threading
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
+from repro.core.aggregation import percentile_of
 from repro.core.exceptions import AggregationError
 
 #: Default compression: ~2x delta centroids retained.
@@ -69,9 +72,33 @@ class TDigest:
                 self._compress()
 
     def extend(self, values: Iterable[float]) -> None:
-        """Add many observations."""
-        for value in values:
-            self.add(value)
+        """Add many unit-weight observations, a chunk at a time.
+
+        Bit-identical to ``add`` per value: the buffer fills to the same
+        ``4 · delta`` bound and compresses at exactly the points a loop
+        of ``add`` calls would, and count, min and max accumulate the
+        same way, so ``to_state`` cannot tell the two apart.
+        """
+        chunk = list(map(float, values))
+        if not chunk:
+            return
+        bound = 4 * self.delta
+        with self._lock:
+            if self._count.is_integer() and self._count + len(chunk) < 2**53:
+                self._count += len(chunk)
+            else:  # not exactly representable: accumulate as add does
+                for _ in chunk:
+                    self._count += 1.0
+            low, high = min(chunk), max(chunk)
+            self._min = low if self._min is None else min(self._min, low)
+            self._max = high if self._max is None else max(self._max, high)
+            start = 0
+            while start < len(chunk):
+                stop = start + max(1, bound - len(self._buffer))
+                self._buffer.extend(zip(chunk[start:stop], repeat(1.0)))
+                start = stop
+                if len(self._buffer) >= bound:
+                    self._compress()
 
     def merge(self, other: "TDigest") -> "TDigest":
         """A new digest summarizing both inputs (inputs unchanged).
@@ -167,15 +194,18 @@ class TDigest:
         if not points:
             self._centroids = []
             return
-        total = sum(weight for _, weight in points)
+        total = sum(map(itemgetter(1), points))
+        scale = 4.0 * total
+        delta = self.delta
         compressed: List[Tuple[float, float]] = []
         current_mean, current_weight = points[0]
         cumulative = 0.0
-        for mean, weight in points[1:]:
+        for mean, weight in islice(points, 1, None):
             q = (cumulative + current_weight / 2.0) / total
-            limit = max(1.0, 4.0 * total * q * (1.0 - q) / self.delta)
-            if current_weight + weight <= limit:
-                merged_weight = current_weight + weight
+            # The q(1-q) size bound, floored at one unit of weight.
+            merged_weight = current_weight + weight
+            limit = scale * q * (1.0 - q) / delta
+            if merged_weight <= 1.0 or merged_weight <= limit:
                 current_mean = (
                     current_mean * current_weight + mean * weight
                 ) / merged_weight
@@ -223,6 +253,12 @@ class TDigest:
             minimum = self._min
             maximum = self._max
         assert minimum is not None and maximum is not None
+        if len(centroids) == count and all(w == 1.0 for _, w in centroids):
+            # Every centroid is one sample: the sorted means are the
+            # data, so answer exactly as the exact plane does.
+            return percentile_of(
+                [mean for mean, _ in centroids], percentile, assume_sorted=True
+            )
         if percentile == 0.0:
             return minimum
         if percentile == 100.0:

@@ -3,11 +3,11 @@
 A measurement dump is a line-oriented file, so it splits for free: pick
 ``workers`` byte offsets, slide each forward to the next newline, and
 every worker decodes a disjoint, line-aligned byte range with exactly
-the serial decode step (:func:`json.loads` + ``Measurement.from_dict``
-for JSONL, :func:`~repro.measurements.io.csv_row_to_measurement` for
-CSV). The parent concatenates the per-range record lists in range
-order, so the resulting :class:`~repro.measurements.collection.\
-MeasurementSet` is record-for-record identical to the serial readers.
+the serial chunk decoder (:mod:`repro.measurements.io`) into a
+:class:`~repro.measurements.batch.RecordBatch`. The parent concatenates
+the per-range batches in range order, so the resulting
+:class:`~repro.measurements.collection.MeasurementSet` is
+record-for-record identical to the serial readers.
 
 Accounting mirrors the serial readers: workers bump the same
 ``ingest.*`` counters (their registry snapshots merge into the parent
@@ -30,20 +30,22 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from repro.core.exceptions import SchemaError
+from repro.measurements.batch import RecordBatch
 from repro.measurements.collection import MeasurementSet
 from repro.measurements.io import (
     IngestStats,
-    csv_row_to_measurement,
+    checked_batches,
+    decode_chunks,
+    decode_csv_rows,
+    decode_jsonl_lines,
     read_csv,
     read_jsonl,
 )
-from repro.measurements.record import Measurement
-from repro.obs import counter, get_logger, span
+from repro.obs import Span, counter, get_logger, span
 
 from .pool import ShardError, run_sharded
 
@@ -101,112 +103,86 @@ def _range_label(path: str, start: int, end: int, lineno: int) -> str:
     return f"{path}: line {lineno} of byte range [{start}, {end})"
 
 
-def _read_jsonl_range(
-    payload: Tuple[str, str], shard: ByteRange
-) -> Tuple[List[Measurement], IngestStats]:
-    """Decode one byte range of a JSONL file (worker side)."""
-    path, on_error = payload
+def _decode_range(
+    path: str,
+    shard: ByteRange,
+    rows: Iterable,
+    decode: Callable,
+    on_error: str,
+    fmt: str,
+) -> Tuple[RecordBatch, IngestStats]:
+    """Decode one range's lines/rows in chunks (worker side)."""
     start, end = shard
-    read_count = counter("ingest.jsonl.lines")
-    skip_count = counter("ingest.jsonl.skipped")
+    read_name, skip_name = {
+        "jsonl": ("ingest.jsonl.lines", "ingest.jsonl.skipped"),
+        "csv": ("ingest.csv.rows", "ingest.csv.skipped"),
+    }[fmt]
     stats = IngestStats()
-    records: List[Measurement] = []
+    batches = list(
+        checked_batches(
+            decode_chunks(rows, decode, 1),
+            on_error,
+            stats,
+            counter(read_name),
+            counter(skip_name),
+            lambda lineno: _range_label(path, start, end, lineno),
+            {"path": path, "range": [start, end]},
+            "line" if fmt == "jsonl" else "row",
+        )
+    )
+    return RecordBatch.concat(batches), stats
+
+
+def _read_range(path: str, shard: ByteRange) -> str:
+    start, end = shard
     with open(path, "rb") as handle:
         handle.seek(start)
-        data = handle.read(end - start)
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
-        line = raw.decode("utf-8").strip()
-        if not line:
-            continue
-        try:
-            record = Measurement.from_dict(json.loads(line))
-        except (json.JSONDecodeError, SchemaError) as exc:
-            if on_error == "skip":
-                skip_count.inc()
-                stats.skipped += 1
-                if _logger.isEnabledFor(10):  # logging.DEBUG
-                    _logger.debug(
-                        "skipped malformed line",
-                        extra={
-                            "ctx": {
-                                "path": path,
-                                "range": [start, end],
-                                "line": lineno,
-                            }
-                        },
-                    )
-                continue
-            raise SchemaError(
-                f"{_range_label(path, start, end, lineno)}: {exc}"
-            ) from exc
-        read_count.inc()
-        stats.read += 1
-        records.append(record)
-    return records, stats
+        return handle.read(end - start).decode("utf-8")
+
+
+def _read_jsonl_range(
+    payload: Tuple[str, str], shard: ByteRange
+) -> Tuple[RecordBatch, IngestStats]:
+    """Decode one byte range of a JSONL file (worker side)."""
+    path, on_error = payload
+    lines = _read_range(path, shard).split("\n")
+    return _decode_range(
+        path, shard, lines, decode_jsonl_lines, on_error, "jsonl"
+    )
 
 
 def _read_csv_range(
     payload: Tuple[str, Tuple[str, ...], str], shard: ByteRange
-) -> Tuple[List[Measurement], IngestStats]:
+) -> Tuple[RecordBatch, IngestStats]:
     """Decode one byte range of a CSV file (worker side).
 
     The header line is excluded from every range; the parent reads it
     once and ships the field names in the payload.
     """
     path, fieldnames, on_error = payload
-    start, end = shard
-    read_count = counter("ingest.csv.rows")
-    skip_count = counter("ingest.csv.skipped")
-    stats = IngestStats()
-    records: List[Measurement] = []
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        data = handle.read(end - start)
     reader = csv.DictReader(
-        io.StringIO(data.decode("utf-8"), newline=""),
+        io.StringIO(_read_range(path, shard), newline=""),
         fieldnames=list(fieldnames),
     )
-    for lineno, row in enumerate(reader, start=1):
-        try:
-            record = csv_row_to_measurement(
-                {key: value for key, value in row.items() if key is not None}
-            )
-        except SchemaError as exc:
-            if on_error == "skip":
-                skip_count.inc()
-                stats.skipped += 1
-                if _logger.isEnabledFor(10):  # logging.DEBUG
-                    _logger.debug(
-                        "skipped malformed row",
-                        extra={
-                            "ctx": {
-                                "path": path,
-                                "range": [start, end],
-                                "line": lineno,
-                            }
-                        },
-                    )
-                continue
-            raise SchemaError(
-                f"{_range_label(path, start, end, lineno)}: {exc}"
-            ) from exc
-        read_count.inc()
-        stats.read += 1
-        records.append(record)
-    return records, stats
+    rows = (
+        {key: value for key, value in row.items() if key is not None}
+        for row in reader
+    )
+    return _decode_range(path, shard, rows, decode_csv_rows, on_error, "csv")
 
 
 def _merge_range_results(
-    parts: List[Tuple[List[Measurement], IngestStats]],
+    parts: List[Tuple[RecordBatch, IngestStats]],
     stats: IngestStats,
     path: _PathLike,
     noun: str,
+    stage: Span,
 ) -> MeasurementSet:
-    records: List[Measurement] = []
-    for part_records, part_stats in parts:
-        records.extend(part_records)
-        stats.read += part_stats.read
-        stats.skipped += part_stats.skipped
+    rows = sum(part_stats.read for _, part_stats in parts)
+    skipped = sum(part_stats.skipped for _, part_stats in parts)
+    stage.annotate(rows=rows, skipped=skipped)
+    stats.read += rows
+    stats.skipped += skipped
     if stats.skipped:
         _logger.warning(
             "skipped %d malformed %s(s) reading %s",
@@ -215,7 +191,9 @@ def _merge_range_results(
             path,
             extra={"ctx": {"read": stats.read, "skipped": stats.skipped}},
         )
-    return MeasurementSet._adopt(records, shared=False)
+    return MeasurementSet.from_batch(
+        RecordBatch.concat([batch for batch, _ in parts])
+    )
 
 
 def _unwrap_shard_error(exc: ShardError) -> None:
@@ -248,11 +226,11 @@ def read_jsonl_parallel(
         stats = IngestStats()
     if workers <= 1:
         return read_jsonl(path, on_error=on_error, stats=stats)
-    with span("ingest_parallel", format="jsonl", workers=workers) as stage:
+    with span("ingest", format="jsonl", workers=workers) as stage:
         ranges = split_line_ranges(path, workers)
         stage.annotate(ranges=len(ranges))
         if not ranges:
-            return MeasurementSet._adopt([], shared=False)
+            return MeasurementSet()
         try:
             parts = run_sharded(
                 _read_jsonl_range,
@@ -263,7 +241,7 @@ def read_jsonl_parallel(
         except ShardError as exc:
             _unwrap_shard_error(exc)
             raise
-        return _merge_range_results(parts, stats, path, "line")
+        return _merge_range_results(parts, stats, path, "line", stage)
 
 
 def read_csv_parallel(
@@ -285,19 +263,19 @@ def read_csv_parallel(
         stats = IngestStats()
     if workers <= 1:
         return read_csv(path, on_error=on_error, stats=stats)
-    with span("ingest_parallel", format="csv", workers=workers) as stage:
+    with span("ingest", format="csv", workers=workers) as stage:
         with open(path, "rb") as handle:
             header = handle.readline()
             body_start = handle.tell()
         if not header.strip():
-            return MeasurementSet._adopt([], shared=False)
+            return MeasurementSet()
         fieldnames = tuple(
             next(csv.reader([header.decode("utf-8")]))
         )
         ranges = split_line_ranges(path, workers, offset=body_start)
         stage.annotate(ranges=len(ranges))
         if not ranges:
-            return MeasurementSet._adopt([], shared=False)
+            return MeasurementSet()
         try:
             parts = run_sharded(
                 _read_csv_range,
@@ -308,4 +286,4 @@ def read_csv_parallel(
         except ShardError as exc:
             _unwrap_shard_error(exc)
             raise
-        return _merge_range_results(parts, stats, path, "row")
+        return _merge_range_results(parts, stats, path, "row", stage)

@@ -13,6 +13,7 @@ import pytest
 
 import repro.cli as cli
 from repro.cli import main
+from repro.obs import counter
 from repro.obs.manifest import RunManifest
 
 # Prometheus text-format line grammar (same shape as the unit-level
@@ -109,6 +110,42 @@ class TestTraceAndManifest:
         paths = {event["args"]["path"] for event in span_events}
         assert "score_regions" in paths
         assert any(path.startswith("score_regions/") for path in paths)
+
+    def test_score_trace_has_one_ingest_span_with_row_counts(
+        self, campaign_file, tmp_path, capsys
+    ):
+        dirty = tmp_path / "dirty.jsonl"
+        lines = campaign_file.read_text().splitlines(keepends=True)
+        dirty.write_text("".join(lines[:3]) + "{torn\n" + "".join(lines[3:]))
+        trace_path = tmp_path / "trace.json"
+        read_counter = counter("ingest.jsonl.lines")
+        skip_counter = counter("ingest.jsonl.skipped")
+        before = (read_counter.value, skip_counter.value)
+        code = main(
+            [
+                "--trace-out",
+                str(trace_path),
+                "score",
+                str(dirty),
+                "--json",
+                "--on-error",
+                "skip",
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        trace = json.loads(trace_path.read_text())
+        (ingest,) = [
+            event
+            for event in trace["traceEvents"]
+            if event.get("ph") == "X" and event["name"] == "ingest"
+        ]
+        assert ingest["args"]["format"] == "jsonl"
+        assert ingest["args"]["rows"] == len(lines) == 360
+        assert ingest["args"]["skipped"] == 1
+        # Counters move once per chunk, by totals: they end on the rows read.
+        assert read_counter.value - before[0] == 360
+        assert skip_counter.value - before[1] == 1
 
     def test_manifest_records_input_provenance(
         self, campaign_file, tmp_path
